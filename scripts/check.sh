@@ -21,57 +21,20 @@ else
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q "$@"
 fi
 
-# The chaos suite must be hash-seed independent: run it twice under
-# different PYTHONHASHSEED values so any dict/set-iteration-order
-# dependence in the fault-injection layer shows up as a diff.
-echo "== chaos suite (PYTHONHASHSEED=0) =="
-PYTHONHASHSEED=0 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m chaos
-echo "== chaos suite (PYTHONHASHSEED=1) =="
-PYTHONHASHSEED=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m chaos
-
-# The parallel suite proves worker-count invariance (workers 1/4/16
-# yield byte-identical artefacts); running it under two hash seeds
-# additionally proves the shard merge never leans on dict/set order.
-echo "== parallel suite (PYTHONHASHSEED=0) =="
-PYTHONHASHSEED=0 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m parallel
-echo "== parallel suite (PYTHONHASHSEED=1) =="
-PYTHONHASHSEED=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m parallel
-
-# The procedural-world suite proves eager/lazy/sharded materialisation
-# are byte-identical; two hash seeds prove host derivation and segment
-# enumeration never lean on dict/set order.
-echo "== procedural suite (PYTHONHASHSEED=0) =="
-PYTHONHASHSEED=0 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m procedural
-echo "== procedural suite (PYTHONHASHSEED=1) =="
-PYTHONHASHSEED=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m procedural
-
-# The four-protocol suite proves the Do53/DoT/DoH/DoQ + DNSCrypt
-# tables are byte-identical across eager/lazy worlds and workers 1/4;
-# two hash seeds prove the differential tier never leans on dict/set
-# order.
-echo "== fourproto suite (PYTHONHASHSEED=0) =="
-PYTHONHASHSEED=0 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m fourproto
-echo "== fourproto suite (PYTHONHASHSEED=1) =="
-PYTHONHASHSEED=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m fourproto
-
-# The longitudinal suite proves the campaign engine: checkpoint/resume
-# byte-identity, churn/rotation determinism in any materialisation
-# order, and incremental==batch goldens at workers 1/4; two hash seeds
-# prove none of it leans on dict/set order.
-echo "== longitudinal suite (PYTHONHASHSEED=0) =="
-PYTHONHASHSEED=0 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m longitudinal
-echo "== longitudinal suite (PYTHONHASHSEED=1) =="
-PYTHONHASHSEED=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m pytest -x -q -m longitudinal
+# The differential suites must be hash-seed independent, so they run
+# once more under each of two PYTHONHASHSEED values; any dependence on
+# dict/set iteration order then shows up as a diff. Between them they
+# prove fault injection (chaos), worker-count invariance and the shard
+# merge (parallel), eager/lazy/sharded world materialisation
+# (procedural), the four-protocol tables across worlds and workers
+# (fourproto), and checkpoint/resume byte-identity plus incremental ==
+# batch campaign goldens (longitudinal).
+DIFFERENTIAL="chaos or parallel or procedural or fourproto or longitudinal"
+for hashseed in 0 1; do
+    echo "== differential suites (PYTHONHASHSEED=$hashseed) =="
+    PYTHONHASHSEED=$hashseed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+        python -m pytest -x -q -m "$DIFFERENTIAL"
+done
 
 # Memory-regression gate: a 10^6-address lazy sweep must stay under a
 # tracemalloc budget and never hit the full-materialise path.

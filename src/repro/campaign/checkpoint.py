@@ -83,10 +83,11 @@ class CheckpointStore:
         """Completed fragments plus the running digest, for resume.
 
         A missing file means a fresh start (``([], "")``). A header
-        written for a different config, a broken digest chain, or
-        out-of-order rounds raise :class:`CampaignError`; a truncated
-        *trailing* line — the signature of a kill mid-append — is
-        dropped silently.
+        written for a different config, a header or round line that is
+        not a JSON object, a broken digest chain, or out-of-order rounds
+        raise :class:`CampaignError`; a truncated *trailing* line — the
+        signature of a kill mid-append — is dropped silently, even when
+        what survived happens to parse as a JSON non-object.
         """
         if not os.path.exists(self.path):
             return [], ""
@@ -101,11 +102,13 @@ class CheckpointStore:
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
+                entry = None
+            if not isinstance(entry, dict):
                 if position == len(lines):
                     break  # torn trailing write; the round reruns
                 raise CampaignError(
                     f"{self.path}:{position}: corrupt checkpoint line "
-                    "(not valid JSON, and not the trailing line)")
+                    "(not a JSON object, and not the trailing line)")
             fragment = RoundFragment.from_wire(entry.get("fragment"))
             if fragment.round_index != entry.get("round"):
                 raise CampaignError(
@@ -133,8 +136,11 @@ class CheckpointStore:
         try:
             header = json.loads(line)
         except json.JSONDecodeError:
+            header = None
+        if not isinstance(header, dict):
             raise CampaignError(
-                f"{self.path}: corrupt checkpoint header")
+                f"{self.path}: corrupt checkpoint header "
+                "(not a JSON object)")
         if header.get("format") != CHECKPOINT_FORMAT:
             raise CampaignError(
                 f"{self.path}: not a campaign checkpoint "

@@ -235,8 +235,17 @@ def message_from_json(body: bytes, query: Message) -> Message:
         parsed = json.loads(body.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireFormatError(f"bad JSON DNS response: {exc}") from exc
+    if not isinstance(parsed, dict):
+        raise WireFormatError("bad JSON DNS response: not an object")
+    entries = parsed.get("Answer", [])
+    if not isinstance(entries, list):
+        raise WireFormatError("bad JSON DNS response: Answer is not a list")
     answers = []
-    for entry in parsed.get("Answer", ()):
+    for entry in entries:
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)):
+            raise WireFormatError(
+                f"bad JSON answer entry: {entry!r:.80}")
         try:
             name = DnsName.from_text(entry["name"])
             rrtype = int(entry["type"])
@@ -255,5 +264,8 @@ def message_from_json(body: bytes, query: Message) -> Message:
             rrtype = RRType.TXT
         answers.append(ResourceRecord(name, rrtype, RRClass.IN, ttl,
                                       rdata))
-    rcode = int(parsed.get("Status", 0))
+    try:
+        rcode = int(parsed.get("Status", 0))
+    except (ValueError, TypeError) as exc:
+        raise WireFormatError(f"bad JSON DNS status: {exc}") from exc
     return make_response(query, answers=answers, rcode=rcode)

@@ -105,7 +105,10 @@ class DnsUniverse:
         so scenario worlds rebuilt from a cached scenario (the persistent
         worker pool rebuilds networks per round) never accumulate
         duplicate records — the universe state stays a function of the
-        config, not of how many builds this process has done.
+        config, not of how many builds this process has done. The check
+        is one zone lookup, which the zone's owner-name index answers in
+        O(labels), so an insert costs O(labels) and registering *n* names
+        costs O(n) whatever the zone's size.
         """
         name = DnsName.from_text(hostname)
         sld = name.second_level_domain()

@@ -1,6 +1,10 @@
 """Tests for authoritative zones and the builder helpers."""
 
+from typing import List
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dnswire import DnsName, Rcode, ResourceRecord, RRType, make_query
 from repro.dnswire.builder import (
@@ -10,7 +14,7 @@ from repro.dnswire.builder import (
     unique_probe_name,
 )
 from repro.dnswire.builder import make_response
-from repro.dnswire.zone import Zone
+from repro.dnswire.zone import LookupResult, Zone
 from repro.errors import ScenarioError
 
 ORIGIN = DnsName.from_text("probe.example.")
@@ -83,6 +87,121 @@ class TestZoneLookups:
 
     def test_record_count(self, zone):
         assert zone.record_count() == 4  # SOA + www + wildcard + alias
+
+
+class ScanZone:
+    """Brute-force reference: every question answered by scanning records.
+
+    These are the zone's original definitions, before it indexed owner
+    names; the indexed :class:`Zone` must agree with them exactly.
+    """
+
+    def __init__(self, origin: DnsName):
+        self.origin = origin
+        self.records: List[ResourceRecord] = []
+
+    def rrset(self, name: DnsName, rrtype: int) -> List[ResourceRecord]:
+        return [record for record in self.records
+                if record.name == name and record.rrtype == rrtype]
+
+    def contains_name(self, name: DnsName) -> bool:
+        return any(record.name == name for record in self.records)
+
+    def has_descendants(self, name: DnsName) -> bool:
+        return any(record.name != name and record.name.is_subdomain_of(name)
+                   for record in self.records)
+
+    def wildcard_match(self, name: DnsName, rrtype: int):
+        candidate = name
+        while not candidate.is_root() and candidate != self.origin:
+            match = self.rrset(candidate.parent().child("*"), rrtype)
+            if match:
+                return match
+            candidate = candidate.parent()
+        return None
+
+    def lookup(self, name: DnsName, rrtype: int,
+               max_cname_depth: int = 8) -> LookupResult:
+        if not name.is_subdomain_of(self.origin):
+            return LookupResult(Rcode.NXDOMAIN, ())
+        chain: List[ResourceRecord] = []
+        current = name
+        for _ in range(max_cname_depth):
+            exact = self.rrset(current, rrtype)
+            if exact:
+                return LookupResult(Rcode.NOERROR, tuple(chain) + tuple(exact))
+            cname = self.rrset(current, RRType.CNAME)
+            if cname:
+                chain.append(cname[0])
+                current = cname[0].rdata.target
+                if not current.is_subdomain_of(self.origin):
+                    return LookupResult(Rcode.NOERROR, tuple(chain))
+                continue
+            wildcard = self.wildcard_match(current, rrtype)
+            if wildcard is not None:
+                return LookupResult(Rcode.NOERROR, tuple(chain) + tuple(
+                    ResourceRecord(current, record.rrtype, record.rrclass,
+                                   record.ttl, record.rdata)
+                    for record in wildcard))
+            if self.contains_name(current) or self.has_descendants(current):
+                return LookupResult(Rcode.NOERROR, tuple(chain))
+            return LookupResult(Rcode.NXDOMAIN, tuple(chain))
+        return LookupResult(Rcode.SERVFAIL, tuple(chain))
+
+
+def _in_zone(labels: List[str]) -> DnsName:
+    return DnsName(tuple(label.encode() for label in labels) + ORIGIN.labels)
+
+
+# Few distinct labels in mixed case, so owners collide case-insensitively,
+# and paths up to five deep, so empty non-terminals are common.
+_relative = st.lists(st.sampled_from(["a", "A", "b", "B", "Www", "www"]),
+                     max_size=5)
+_in_zone_names = _relative.map(_in_zone)
+_wildcards = _relative.map(lambda labels: _in_zone(["*"] + labels))
+_outside = st.sampled_from(["example.", "other.example.", "A.Other.Example.",
+                            "."]).map(DnsName.from_text)
+# ``Zone.add`` accepts wildcard owners outside the origin.
+_outside_wildcards = st.sampled_from(
+    ["*.other.example.", "*.B.probe.EXAMPLE.org."]).map(DnsName.from_text)
+_owners = st.one_of(_in_zone_names, _wildcards, _outside_wildcards)
+_records = st.one_of(
+    st.builds(lambda name, octet: ResourceRecord.a(name, f"192.0.2.{octet}"),
+              _owners, st.integers(0, 3)),
+    st.builds(lambda name, text: ResourceRecord.txt(name, text),
+              _owners, st.sampled_from(["x", "y"])),
+    # In-zone targets build chains and loops; outside ones end a chain.
+    st.builds(ResourceRecord.cname, _owners,
+              st.one_of(_in_zone_names, _wildcards, _outside)),
+)
+_questions = st.tuples(
+    st.one_of(_in_zone_names, _wildcards, _outside, _outside_wildcards),
+    st.sampled_from([RRType.A, RRType.TXT, RRType.CNAME, RRType.AAAA]),
+    st.integers(1, 8))
+
+
+def _exact(result: LookupResult):
+    """The result with owner names compared case-sensitively."""
+    return result.rcode, tuple((record.name.labels, record)
+                               for record in result.records)
+
+
+class TestIndexMatchesScanReference:
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(_records, max_size=24),
+           questions=st.lists(_questions, min_size=1, max_size=12))
+    def test_index_answers_like_a_record_scan(self, records, questions):
+        zone, reference = Zone(ORIGIN), ScanZone(ORIGIN)
+        for record in records:
+            zone.add(record)
+            reference.records.append(record)
+        assert zone.record_count() == len(records)
+        for name, rrtype, depth in questions:
+            assert zone.contains_name(name) == reference.contains_name(name)
+            assert (zone._has_descendants(name)
+                    == reference.has_descendants(name))
+            assert (_exact(zone.lookup(name, rrtype, depth))
+                    == _exact(reference.lookup(name, rrtype, depth)))
 
 
 class TestBuilderHelpers:

@@ -135,6 +135,29 @@ class TestJsonClient:
             message_from_json(json.dumps(
                 {"Answer": [{"type": "x"}]}).encode(), query)
 
+    @pytest.mark.parametrize("body", [b"[]", b"null", b"5"])
+    def test_message_from_json_rejects_non_object_body(self, body):
+        with pytest.raises(WireFormatError):
+            message_from_json(body, make_query(WWW, msg_id=8))
+
+    @pytest.mark.parametrize("answer", [5, None, {"name": "a.example."}])
+    def test_message_from_json_rejects_non_list_answer(self, answer):
+        body = json.dumps({"Status": 0, "Answer": answer}).encode()
+        with pytest.raises(WireFormatError):
+            message_from_json(body, make_query(WWW, msg_id=9))
+
+    def test_message_from_json_rejects_non_string_name(self):
+        body = json.dumps({"Status": 0, "Answer": [
+            {"name": 5, "type": 1, "data": "192.0.2.9"}]}).encode()
+        with pytest.raises(WireFormatError):
+            message_from_json(body, make_query(WWW, msg_id=10))
+
+    @pytest.mark.parametrize("status", ["x", None])
+    def test_message_from_json_rejects_non_integer_status(self, status):
+        body = json.dumps({"Status": status}).encode()
+        with pytest.raises(WireFormatError):
+            message_from_json(body, make_query(WWW, msg_id=11))
+
 
 class TestChurn:
     @pytest.fixture(scope="class")

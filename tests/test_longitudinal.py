@@ -411,6 +411,32 @@ class TestCheckpointResume:
         ba = chain_digest(chain_digest("", wire_b), wire_a)
         assert ab != ba
 
+    @pytest.mark.parametrize("line", ["[]", "5", "null"])
+    def test_non_object_header_is_refused(self, tmp_path, line):
+        path = tmp_path / "ck.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CampaignError, match="header"):
+            CheckpointStore(str(path)).load(longitudinal_config())
+
+    @pytest.mark.parametrize("line", ["[]", "5", "null"])
+    def test_non_object_middle_line_is_refused(self, tmp_path, line):
+        config = longitudinal_config()
+        store = CheckpointStore(str(tmp_path / "ck.jsonl"))
+        store.start(config, 2)
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n" + line + "\n")
+        with pytest.raises(CampaignError, match=":2:"):
+            store.load(config)
+
+    @pytest.mark.parametrize("line", ["[]", "5", "null"])
+    def test_non_object_trailing_line_is_a_torn_write(self, tmp_path, line):
+        config = longitudinal_config()
+        store = CheckpointStore(str(tmp_path / "ck.jsonl"))
+        store.start(config, 2)
+        with open(store.path, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        assert store.load(config) == ([], "")
+
 
 # -- flat memory (cache-eviction contract) ----------------------------------
 

@@ -1,6 +1,7 @@
 """Tests for repro.serving: workload, pool, engine, scorer, bench."""
 
 import json
+import time
 
 import pytest
 
@@ -204,6 +205,23 @@ class TestConnectionReusePool:
                                  SeededRng(16, "wl")).name_for(0)
         with pytest.raises(ScenarioError):
             pool.query(0, "doq", name, 1)
+
+
+class TestWorldBuildScaling:
+    """The world build is linear in the name universe (8x names <= 10x time)."""
+
+    def test_eight_times_the_names_costs_at_most_ten_times_the_build(self):
+        best = {512: float("inf"), 4096: float("inf")}
+        # Interleave the sizes so a slow phase of the host hits both.
+        for _ in range(3):
+            for names in best:
+                start = time.perf_counter()
+                ServingWorld.build(ServingWorldConfig(seed=11, names=names))
+                best[names] = min(best[names], time.perf_counter() - start)
+        ratio = best[4096] / best[512]
+        assert ratio <= 10.0, (
+            f"4096-name build took {ratio:.1f}x the 512-name build "
+            f"({best[4096]:.3f} s vs {best[512]:.3f} s)")
 
 
 class TestServingEngine:

@@ -27,9 +27,10 @@ fi
 # prove fault injection (chaos), worker-count invariance and the shard
 # merge (parallel), eager/lazy/sharded world materialisation
 # (procedural), the four-protocol tables across worlds and workers
-# (fourproto), and checkpoint/resume byte-identity plus incremental ==
-# batch campaign goldens (longitudinal).
-DIFFERENTIAL="chaos or parallel or procedural or fourproto or longitudinal"
+# (fourproto), checkpoint/resume byte-identity plus incremental ==
+# batch campaign goldens (longitudinal), and the DNS codec against its
+# per-field reference on valid and malformed wire (robustness).
+DIFFERENTIAL="chaos or parallel or procedural or fourproto or longitudinal or robustness"
 for hashseed in 0 1; do
     echo "== differential suites (PYTHONHASHSEED=$hashseed) =="
     PYTHONHASHSEED=$hashseed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \

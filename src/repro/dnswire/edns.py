@@ -7,16 +7,19 @@ ciphertext lengths, one of the criteria in the paper's comparative study.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.dnswire.names import DnsName
 from repro.dnswire.rdtypes import EdnsOption, RRType
-from repro.dnswire.wire import WireReader, WireWriter
+from repro.dnswire.wire import RR_FIXED, WireReader
 from repro.errors import WireFormatError
 
 DEFAULT_UDP_PAYLOAD = 1232
 RECOMMENDED_PAD_BLOCK = 128
+
+#: An option's code and length, ahead of its payload.
+_OPTION_HEAD = struct.Struct("!HH")
 
 
 @dataclass(frozen=True)
@@ -109,41 +112,51 @@ class OptRecord:
         return sum(len(option.data) for option in self.options
                    if option.code == EdnsOption.PADDING)
 
-    def encode(self, writer: WireWriter) -> None:
-        writer.write_name(DnsName.root())
-        writer.write_u16(RRType.OPT)
-        writer.write_u16(self.udp_payload)
+    def without_padding(self) -> "OptRecord":
+        """This record with every padding option removed."""
+        return OptRecord(self.udp_payload, self.extended_rcode,
+                         self.version, self.dnssec_ok,
+                         tuple(option for option in self.options
+                               if option.code != EdnsOption.PADDING))
+
+    def to_wire(self) -> bytes:
+        """The whole OPT record: root owner, fixed fields and options.
+
+        The owner is the root name, which never compresses, so the
+        record's octets do not depend on where it lands in a message and
+        are memoised per (frozen) instance, like :meth:`Rdata.to_wire`.
+        """
+        wire = self.__dict__.get("_wire_cache")
+        if wire is not None:
+            return wire
         ttl = (self.extended_rcode << 24) | (self.version << 16)
         if self.dnssec_ok:
             ttl |= 0x8000
-        writer.write_u32(ttl)
-        inner = WireWriter(enable_compression=False)
+        rdata = bytearray()
         for option in self.options:
-            inner.write_u16(option.code)
-            inner.write_u16(len(option.data))
-            inner.write_bytes(option.data)
-        payload = inner.getvalue()
-        writer.write_u16(len(payload))
-        writer.write_bytes(payload)
+            rdata += _OPTION_HEAD.pack(option.code, len(option.data))
+            rdata += option.data
+        wire = (b"\x00" + RR_FIXED.pack(RRType.OPT, self.udp_payload, ttl,
+                                        len(rdata)) + rdata)
+        object.__setattr__(self, "_wire_cache", wire)
+        return wire
 
     @classmethod
-    def decode_body(cls, reader: WireReader) -> "OptRecord":
-        """Decode an OPT record whose owner name was already consumed.
+    def decode_body(cls, reader: WireReader, udp_payload: int, ttl: int,
+                    rdlength: int) -> "OptRecord":
+        """Decode an OPT record's options from its fixed fields onwards.
 
-        The caller has also consumed the 16-bit type field; decoding
-        starts at the class field.
+        The caller has consumed the owner name and the type, class, TTL
+        and rdlength fields (class carries the UDP payload size, TTL the
+        extended rcode, version and flags); ``reader`` sits at the rdata.
         """
-        udp_payload = reader.read_u16()
-        ttl = reader.read_u32()
         extended_rcode = (ttl >> 24) & 0xFF
         version = (ttl >> 16) & 0xFF
         dnssec_ok = bool(ttl & 0x8000)
-        rdlength = reader.read_u16()
         end = reader.offset + rdlength
         options = []
         while reader.offset < end:
-            code = reader.read_u16()
-            length = reader.read_u16()
+            code, length = reader.unpack(_OPTION_HEAD)
             options.append(EdnsOptionValue(code, reader.read_bytes(length)))
         if reader.offset != end:
             raise WireFormatError("OPT rdata length mismatch")

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Optional, Tuple
 
-from repro.dnswire.edns import OptRecord
+from repro.dnswire.edns import OptRecord, PaddingOption
 from repro.dnswire.names import DnsName
-from repro.dnswire.rdtypes import Opcode, Rcode, RRClass, RRType
-from repro.dnswire.records import ResourceRecord
-from repro.dnswire.wire import WireReader, WireWriter
+from repro.dnswire.rdtypes import EdnsOption, Opcode, Rcode, RRClass, RRType
+from repro.dnswire.records import ResourceRecord, decode_rdata
+from repro.dnswire.wire import (
+    HEADER,
+    QUESTION_FIXED,
+    RR_FIXED,
+    WireReader,
+    WireWriter,
+)
 from repro.errors import WireFormatError
 
-HEADER_LENGTH = 12
+HEADER_LENGTH = HEADER.size
 
 
 @dataclass(frozen=True)
@@ -42,13 +48,16 @@ class Flags:
 
     @classmethod
     def from_bits(cls, bits: int) -> "Flags":
-        return cls(
-            qr=bool(bits & 0x8000),
-            aa=bool(bits & 0x0400),
-            tc=bool(bits & 0x0200),
-            rd=bool(bits & 0x0100),
-            ra=bool(bits & 0x0080),
-        )
+        return _FLAGS_BY_BITS[bits & _FLAG_MASK]
+
+
+_FLAG_MASK = 0x8000 | 0x0400 | 0x0200 | 0x0100 | 0x0080
+#: Flags is frozen and has only 32 values, so decoding hands out one
+#: shared instance per combination of flag bits.
+_FLAGS_BY_BITS = {
+    flags.to_bits(): flags
+    for flags in (Flags(*bits) for bits in product((False, True), repeat=5))
+}
 
 
 @dataclass(frozen=True)
@@ -71,15 +80,12 @@ class Question:
 
     def encode(self, writer: WireWriter) -> None:
         writer.write_name(self.name)
-        writer.write_u16(self.rrtype)
-        writer.write_u16(self.rrclass)
+        writer.buf += QUESTION_FIXED.pack(self.rrtype, self.rrclass)
 
     @classmethod
     def decode(cls, reader: WireReader) -> "Question":
         name = reader.read_name()
-        rrtype = reader.read_u16()
-        rrclass = reader.read_u16()
-        return cls(name, rrtype, rrclass)
+        return cls(name, *reader.unpack(QUESTION_FIXED))
 
     def to_text(self) -> str:
         return (f"{self.name.to_text()} "
@@ -121,19 +127,32 @@ class Message:
         return tuple(addresses)
 
     def with_padding_to_block(self, block: int = 128) -> "Message":
-        """Return a copy padded to a multiple of ``block`` octets."""
-        from repro.dnswire.edns import PaddingOption
-        if self.opt is not None:
-            # Padding replaces any existing padding option, so the
-            # baseline is this exact message — whose encoding is cached.
-            base_length = len(self.encode())
-            opt = self.opt
+        """Return a copy padded to a multiple of ``block`` octets.
+
+        Any padding already present is replaced, not added to: RFC 7830
+        allows one padding option per message.
+        """
+        opt = self.opt
+        if opt is None:
+            base = replace(self, opt=OptRecord())
+        elif any(option.code == EdnsOption.PADDING
+                 for option in opt.options):
+            base = replace(self, opt=opt.without_padding())
         else:
-            opt = OptRecord()
-            base_length = len(replace(self, opt=opt).encode())
-        padded_opt = opt.with_option(
-            PaddingOption.pad_to_block(base_length, block))
-        return replace(self, opt=padded_opt)
+            # The baseline is this exact message, whose encoding may be
+            # cached already.
+            base = self
+        base_wire = base.encode()
+        base_opt = base.opt
+        padded_opt = base_opt.with_option(
+            PaddingOption.pad_to_block(len(base_wire), block))
+        padded = replace(base, opt=padded_opt)
+        # The OPT record is encoded last and holds no compressible name,
+        # so the padded wire is the base wire with that record swapped.
+        wire = (base_wire[:len(base_wire) - len(base_opt.to_wire())]
+                + padded_opt.to_wire())
+        object.__setattr__(padded, "_wire_cache", {True: wire})
+        return padded
 
     def encode(self, compress: bool = True) -> bytes:
         # Message and everything it contains are frozen, so the wire
@@ -150,21 +169,24 @@ class Message:
             if wire is not None:
                 return wire
         writer = WireWriter(enable_compression=compress)
-        flag_bits = self.header.flags.to_bits()
-        flag_bits |= (self.header.opcode & 0xF) << 11
-        flag_bits |= self.header.rcode & 0xF
-        additional_count = len(self.additionals) + (1 if self.opt else 0)
-        writer.write_bytes(struct.pack(
-            "!HHHHHH", self.header.msg_id, flag_bits,
+        header = self.header
+        flag_bits = (header.flags.to_bits()
+                     | (header.opcode & 0xF) << 11
+                     | header.rcode & 0xF)
+        opt = self.opt
+        writer.buf += HEADER.pack(
+            header.msg_id, flag_bits,
             len(self.questions), len(self.answers),
-            len(self.authorities), additional_count,
-        ))
+            len(self.authorities),
+            len(self.additionals) + (1 if opt else 0),
+        )
         for question in self.questions:
             question.encode(writer)
-        for record in self.answers + self.authorities + self.additionals:
-            record.encode(writer)
-        if self.opt is not None:
-            self.opt.encode(writer)
+        for section in (self.answers, self.authorities, self.additionals):
+            for record in section:
+                record.encode(writer)
+        if opt is not None:
+            writer.buf += opt.to_wire()
         wire = writer.getvalue()
         cache[compress] = wire
         return wire
@@ -174,10 +196,9 @@ class Message:
         if len(data) < HEADER_LENGTH:
             raise WireFormatError(
                 f"message shorter than header: {len(data)} octets")
-        reader = WireReader(data)
         msg_id, flag_bits, qdcount, ancount, nscount, arcount = (
-            struct.unpack_from("!HHHHHH", data, 0))
-        reader.read_bytes(HEADER_LENGTH)
+            HEADER.unpack_from(data, 0))
+        reader = WireReader(bytes(data), HEADER_LENGTH)
         header = Header(
             msg_id=msg_id,
             opcode=(flag_bits >> 11) & 0xF,
@@ -191,19 +212,18 @@ class Message:
         additionals = []
         opt = None
         for _ in range(arcount):
-            mark = reader.offset
             name = reader.read_name()
-            rrtype = reader.read_u16()
+            rrtype, rrclass, ttl, rdlength = reader.unpack(RR_FIXED)
             if rrtype == RRType.OPT:
                 if opt is not None:
                     raise WireFormatError("duplicate OPT record")
                 if not name.is_root():
                     raise WireFormatError("OPT owner must be the root name")
-                opt = OptRecord.decode_body(reader)
+                opt = OptRecord.decode_body(reader, rrclass, ttl, rdlength)
             else:
-                inner = WireReader(data, mark)
-                additionals.append(ResourceRecord.decode(inner))
-                reader = inner
+                additionals.append(ResourceRecord(
+                    name, rrtype, rrclass, ttl,
+                    decode_rdata(rrtype, reader, rdlength)))
         return cls(header, questions, answers, authorities,
                    tuple(additionals), opt)
 

@@ -40,6 +40,8 @@ class DnsName:
     #: whole map is dropped once it reaches ``_INTERN_MAX`` entries.
     _intern: dict = {}
     _INTERN_MAX = 4096
+    #: Decode memo for :meth:`from_wire_labels`, keyed by label tuple.
+    _wire_intern: dict = {}
 
     def __init__(self, labels: Tuple[bytes, ...]):
         total = sum(len(label) + 1 for label in labels) + 1
@@ -81,6 +83,31 @@ class DnsName:
     @classmethod
     def from_labels(cls, labels: Iterator[bytes]) -> "DnsName":
         return cls(tuple(labels))
+
+    @classmethod
+    def from_wire_labels(cls, labels: Tuple[bytes, ...]) -> "DnsName":
+        """Build a name from labels a wire reader has already delimited.
+
+        The caller guarantees each label is 1-63 octets (the wire format
+        cannot express anything else), so only the total length is
+        checked here. Decoded names repeat as often as parsed ones, so
+        the result is interned per exact label tuple, bounded like the
+        :meth:`from_text` memo.
+        """
+        interned = cls._wire_intern.get(labels)
+        if interned is not None:
+            return interned
+        if sum(map(len, labels)) + len(labels) + 1 > MAX_NAME_LENGTH:
+            raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
+        name = cls.__new__(cls)
+        name._labels = labels
+        name._folded = tuple(label.lower() for label in labels)
+        name._text = ""
+        name._wire = b""
+        if len(cls._wire_intern) >= cls._INTERN_MAX:
+            cls._wire_intern.clear()
+        cls._wire_intern[labels] = name
+        return name
 
     @property
     def labels(self) -> Tuple[bytes, ...]:

@@ -8,7 +8,7 @@ from typing import ClassVar, Tuple
 
 from repro.dnswire.names import DnsName
 from repro.dnswire.rdtypes import RRClass, RRType
-from repro.dnswire.wire import WireReader, WireWriter
+from repro.dnswire.wire import RR_FIXED, WireReader, WireWriter
 from repro.errors import WireFormatError
 
 
@@ -16,6 +16,22 @@ class Rdata:
     """Base class for typed rdata. Subclasses register a type code."""
 
     rrtype: ClassVar[int] = 0
+
+    def to_wire(self) -> bytes:
+        """The rdata octets, encoded without outer-message compression.
+
+        Rdata is frozen, so the wire form is memoised per instance in
+        ``__dict__`` (set via ``object.__setattr__`` past the frozen
+        guard, invisible to dataclass eq/repr/replace): zone records are
+        shared by every response that carries them.
+        """
+        wire = self.__dict__.get("_wire_cache")
+        if wire is None:
+            writer = WireWriter(enable_compression=False)
+            self.encode(writer)
+            wire = writer.getvalue()
+            object.__setattr__(self, "_wire_cache", wire)
+        return wire
 
     def encode(self, writer: WireWriter) -> None:
         raise NotImplementedError
@@ -49,8 +65,7 @@ class AData(Rdata):
     def decode(cls, reader: WireReader, rdlength: int) -> "AData":
         if rdlength != 4:
             raise WireFormatError(f"A rdata must be 4 octets, got {rdlength}")
-        octets = reader.read_bytes(4)
-        return cls(".".join(str(octet) for octet in octets))
+        return cls("%d.%d.%d.%d" % tuple(reader.read_bytes(4)))
 
     def to_text(self) -> str:
         return self.address
@@ -108,6 +123,10 @@ class PtrData(_SingleNameData):
     rrtype: ClassVar[int] = RRType.PTR
 
 
+#: SOA serial, refresh, retry, expire and minimum, after the two names.
+_SOA_FIXED = struct.Struct("!IIIII")
+
+
 @dataclass(frozen=True)
 class SoaData(Rdata):
     """Start-of-authority rdata."""
@@ -124,18 +143,14 @@ class SoaData(Rdata):
     def encode(self, writer: WireWriter) -> None:
         writer.write_name(self.mname)
         writer.write_name(self.rname)
-        for value in (self.serial, self.refresh, self.retry,
-                      self.expire, self.minimum):
-            writer.write_u32(value)
+        writer.buf += _SOA_FIXED.pack(self.serial, self.refresh, self.retry,
+                                      self.expire, self.minimum)
 
     @classmethod
     def decode(cls, reader: WireReader, rdlength: int) -> "SoaData":
         mname = reader.read_name()
         rname = reader.read_name()
-        serial, refresh, retry, expire, minimum = (
-            reader.read_u32() for _ in range(5)
-        )
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+        return cls(mname, rname, *reader.unpack(_SOA_FIXED))
 
     def to_text(self) -> str:
         return (f"{self.mname.to_text()} {self.rname.to_text()} "
@@ -291,27 +306,20 @@ class ResourceRecord:
 
     def encode(self, writer: WireWriter) -> None:
         writer.write_name(self.name)
-        writer.write_u16(self.rrtype)
-        writer.write_u16(self.rrclass)
-        writer.write_u32(self.ttl)
-        # rdata length is back-patched by encoding into a fresh writer;
-        # compression pointers into the outer message are intentionally
-        # not used for rdata names to keep the patching simple and legal.
-        inner = WireWriter(enable_compression=False)
-        self.rdata.encode(inner)
-        payload = inner.getvalue()
-        writer.write_u16(len(payload))
-        writer.write_bytes(payload)
+        # Rdata names are never compressed against the outer message, so
+        # the rdata octets (and their length) do not depend on where the
+        # record lands and come from the rdata's memoised wire form.
+        payload = self.rdata.to_wire()
+        writer.buf += RR_FIXED.pack(self.rrtype, self.rrclass, self.ttl,
+                                    len(payload))
+        writer.buf += payload
 
     @classmethod
     def decode(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
-        rrtype = reader.read_u16()
-        rrclass = reader.read_u16()
-        ttl = reader.read_u32()
-        rdlength = reader.read_u16()
-        rdata = decode_rdata(rrtype, reader, rdlength)
-        return cls(name, rrtype, rrclass, ttl, rdata)
+        rrtype, rrclass, ttl, rdlength = reader.unpack(RR_FIXED)
+        return cls(name, rrtype, rrclass, ttl,
+                   decode_rdata(rrtype, reader, rdlength))
 
     def to_text(self) -> str:
         return (f"{self.name.to_text()} {self.ttl} "

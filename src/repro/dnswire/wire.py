@@ -5,6 +5,10 @@ every name suffix) emitted is remembered, and later occurrences are
 replaced by a two-octet pointer. :class:`WireReader` follows pointers with
 loop protection, which matters because hand-crafted malicious messages can
 contain pointer cycles.
+
+Both work in one pass over one buffer: the writer appends to a single
+``bytearray`` and the reader unpacks fixed fields in place, each group of
+adjacent fixed fields through one precompiled :class:`struct.Struct`.
 """
 
 from __future__ import annotations
@@ -18,63 +22,72 @@ from repro.errors import WireFormatError
 _POINTER_MASK = 0xC0
 _MAX_POINTER_TARGET = 0x3FFF
 
+U16 = struct.Struct("!H")
+#: id, flags, qdcount, ancount, nscount, arcount.
+HEADER = struct.Struct("!HHHHHH")
+#: A question's type and class.
+QUESTION_FIXED = struct.Struct("!HH")
+#: A record's type, class, TTL and rdlength, which follow its owner name.
+RR_FIXED = struct.Struct("!HHIH")
+
 
 class WireWriter:
-    """Accumulates wire-format octets with DNS name compression."""
+    """Accumulates wire-format octets with DNS name compression.
+
+    ``buf`` is the message under construction; callers append packed
+    fixed fields to it directly.
+    """
+
+    __slots__ = ("buf", "_offsets", "_compress")
 
     def __init__(self, enable_compression: bool = True):
-        self._chunks: list = []
-        self._length = 0
+        self.buf = bytearray()
         self._offsets: Dict[Tuple[bytes, ...], int] = {}
         self._compress = enable_compression
 
     def write_u8(self, value: int) -> None:
-        self._append(struct.pack("!B", value))
+        self.buf.append(value)
 
     def write_u16(self, value: int) -> None:
-        self._append(struct.pack("!H", value))
-
-    def write_u32(self, value: int) -> None:
-        self._append(struct.pack("!I", value))
+        self.buf += U16.pack(value)
 
     def write_bytes(self, data: bytes) -> None:
-        self._append(data)
+        self.buf += data
 
     def write_name(self, name: DnsName) -> None:
         """Emit a domain name, compressing suffixes seen earlier."""
+        buf = self.buf
         if not self._compress:
             # No compression state to maintain: emit the name's cached
             # uncompressed encoding in one append.
-            self._append(name.to_wire())
+            buf += name.to_wire()
             return
-        labels = name.labels
+        offsets = self._offsets
         folded = name.folded_labels
-        for index in range(len(labels)):
+        for index, label in enumerate(name.labels):
             suffix = folded[index:]
-            known = self._offsets.get(suffix) if self._compress else None
+            known = offsets.get(suffix)
             if known is not None:
-                self.write_u16(0xC000 | known)
+                buf += U16.pack(0xC000 | known)
                 return
-            if self._length <= _MAX_POINTER_TARGET:
-                self._offsets[suffix] = self._length
-            label = labels[index]
-            self.write_u8(len(label))
-            self.write_bytes(label)
-        self.write_u8(0)
+            offset = len(buf)
+            if offset <= _MAX_POINTER_TARGET:
+                offsets[suffix] = offset
+            buf.append(len(label))
+            buf += label
+        buf.append(0)
 
     def current_offset(self) -> int:
-        return self._length
+        return len(self.buf)
 
     def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
-
-    def _append(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._length += len(data)
+        return bytes(self.buf)
 
 
 class WireReader:
     """Sequential reader over a full DNS message buffer."""
+
+    __slots__ = ("_data", "_offset")
 
     def __init__(self, data: bytes, offset: int = 0):
         self._data = data
@@ -84,30 +97,30 @@ class WireReader:
     def offset(self) -> int:
         return self._offset
 
-    def remaining(self) -> int:
-        return len(self._data) - self._offset
-
-    def at_end(self) -> bool:
-        return self._offset >= len(self._data)
-
-    def read_u8(self) -> int:
-        return self._read_struct("!B", 1)[0]
-
-    def read_u16(self) -> int:
-        return self._read_struct("!H", 2)[0]
-
-    def read_u32(self) -> int:
-        return self._read_struct("!I", 4)[0]
-
-    def read_bytes(self, count: int) -> bytes:
-        if self.remaining() < count:
+    def _advance(self, count: int) -> int:
+        """Step over ``count`` octets, returning where they start."""
+        offset = self._offset
+        if len(self._data) - offset < count:
             raise WireFormatError(
                 f"truncated message: wanted {count} octets, "
-                f"{self.remaining()} remain"
+                f"{len(self._data) - offset} remain"
             )
-        chunk = self._data[self._offset:self._offset + count]
-        self._offset += count
-        return chunk
+        self._offset = offset + count
+        return offset
+
+    def unpack(self, fields: struct.Struct) -> tuple:
+        """Read the fixed fields ``fields`` describes, in one step."""
+        return fields.unpack_from(self._data, self._advance(fields.size))
+
+    def read_u8(self) -> int:
+        return self._data[self._advance(1)]
+
+    def read_u16(self) -> int:
+        return self.unpack(U16)[0]
+
+    def read_bytes(self, count: int) -> bytes:
+        offset = self._advance(count)
+        return self._data[offset:offset + count]
 
     def read_name(self) -> DnsName:
         """Decode a (possibly compressed) domain name.
@@ -115,18 +128,20 @@ class WireReader:
         Pointer loops and forward pointers are rejected; RFC 1035 only
         permits pointers to earlier positions in the message.
         """
+        data = self._data
+        end = len(data)
         labels = []
         offset = self._offset
         jumped = False
         seen_offsets = set()
         while True:
-            if offset >= len(self._data):
+            if offset >= end:
                 raise WireFormatError("name runs past end of message")
-            length = self._data[offset]
+            length = data[offset]
             if length & _POINTER_MASK == _POINTER_MASK:
-                if offset + 1 >= len(self._data):
+                if offset + 1 >= end:
                     raise WireFormatError("truncated compression pointer")
-                target = ((length & 0x3F) << 8) | self._data[offset + 1]
+                target = ((length & 0x3F) << 8) | data[offset + 1]
                 if target >= offset:
                     raise WireFormatError("compression pointer is not backward")
                 if target in seen_offsets:
@@ -142,18 +157,11 @@ class WireReader:
             if length == 0:
                 if not jumped:
                     self._offset = offset + 1
-                return DnsName(tuple(labels))
-            if offset + 1 + length > len(self._data):
+                # Every label read here is 1-63 octets by construction
+                # (a non-zero length octet below 0x40).
+                return DnsName.from_wire_labels(tuple(labels))
+            start = offset + 1
+            offset = start + length
+            if offset > end:
                 raise WireFormatError("label runs past end of message")
-            labels.append(self._data[offset + 1:offset + 1 + length])
-            offset += 1 + length
-
-    def _read_struct(self, fmt: str, size: int):
-        if self.remaining() < size:
-            raise WireFormatError(
-                f"truncated message: wanted {size} octets, "
-                f"{self.remaining()} remain"
-            )
-        values = struct.unpack_from(fmt, self._data, self._offset)
-        self._offset += size
-        return values
+            labels.append(data[start:offset])

@@ -67,11 +67,18 @@ def unseal(key: ProviderKey, payload: bytes) -> bytes:
     """Reverse :func:`seal`; rejects envelopes under a different key."""
     if payload[:4] != _MAGIC:
         raise WireFormatError("not a DNSCrypt envelope")
-    key_length = payload[4]
-    sealed_key = payload[5:5 + key_length].decode()
+    if len(payload) < 5:
+        raise WireFormatError("DNSCrypt envelope has no key length")
+    key_end = 5 + payload[4]
+    if key_end > len(payload):
+        raise WireFormatError("DNSCrypt key length runs past the envelope")
+    try:
+        sealed_key = payload[5:key_end].decode()
+    except UnicodeDecodeError as exc:
+        raise WireFormatError("DNSCrypt key is not UTF-8") from exc
     if sealed_key != key.public_key:
         raise WireFormatError("DNSCrypt key mismatch")
-    return payload[5 + key_length:]
+    return payload[key_end:]
 
 
 def is_cert_query(message: Message) -> bool:

@@ -28,7 +28,12 @@ def b64url_encode(data: bytes) -> str:
 def b64url_decode(encoded: str) -> bytes:
     """Decode unpadded base64url."""
     padding = "=" * (-len(encoded) % 4)
-    return base64.urlsafe_b64decode(encoded + padding)
+    try:
+        return base64.urlsafe_b64decode(encoded + padding)
+    except ValueError as exc:
+        # binascii.Error (bad length or padding) is a ValueError, as is
+        # the rejection of a non-ASCII string.
+        raise WireFormatError(f"bad base64url: {exc}") from exc
 
 
 def frame_tcp_message(message_bytes: bytes) -> bytes:

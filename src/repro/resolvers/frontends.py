@@ -224,7 +224,7 @@ class DohService(_BackendService):
                 raise _DohRequestError(400, "missing dns parameter")
             try:
                 return b64url_decode(encoded)
-            except Exception as exc:
+            except WireFormatError as exc:
                 raise _DohRequestError(400, "bad dns parameter") from exc
         if request.method == "POST":
             if not self.supports_post:

@@ -5,6 +5,7 @@ import pytest
 from repro.dnswire import (
     AData,
     DnsName,
+    EdnsOption,
     Flags,
     Header,
     Message,
@@ -210,6 +211,13 @@ class TestEdns:
         for block in (64, 128, 468):
             message = make_query(NAME, pad_block=block)
             assert len(message.encode()) % block == 0
+
+    def test_repadding_replaces_the_padding_option(self):
+        padded = make_query(NAME, pad_block=128)
+        repadded = padded.with_padding_to_block(128)
+        assert len(repadded.encode()) == len(padded.encode()) == 128
+        assert [option.code for option in repadded.opt.options].count(
+            EdnsOption.PADDING) == 1
 
     def test_padding_octets_visible_after_decode(self):
         message = make_query(NAME, pad_block=128)

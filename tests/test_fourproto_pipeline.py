@@ -41,10 +41,13 @@ from repro.doe.dnscrypt import (
 )
 from repro.doe.doq import DOQ_PORT, DoqClient
 from repro.dnswire.builder import make_query
+from repro.dnswire.names import DnsName
+from repro.doe.result import FailureKind
 from repro.dnswire.rdtypes import RRType
 from repro.errors import WireFormatError
 from repro.netsim.network import ClientEnvironment
 from repro.netsim.rand import SeededRng
+from repro.netsim.transport import UdpExchange
 from repro.world.scenario import (
     SELF_BUILT_HOSTNAME,
     SELF_BUILT_IP,
@@ -219,6 +222,27 @@ class TestDnscryptBootstrap:
         sealed = seal(ProviderKey(name, key), wire)
         with pytest.raises(WireFormatError):
             unseal(ProviderKey(name, other), sealed)
+
+    @pytest.mark.parametrize("payload", [
+        b"DNSC",                        # no key-length octet
+        b"DNSC\x02\xff\xfe",            # key is not UTF-8
+        b"DNSC\x09key",                 # declared key runs past the end
+    ])
+    def test_malformed_envelope_is_a_wire_format_error(self, payload):
+        with pytest.raises(WireFormatError):
+            unseal(ProviderKey("p", "key"), payload)
+
+    def test_client_reports_a_malformed_response(self, monkeypatch):
+        """A bad envelope from the server fails the query, never the
+        client."""
+        monkeypatch.setattr(
+            UdpExchange, "exchange",
+            staticmethod(lambda *args, **kwargs: (b"DNSC\x02\xff\xfe", 1.0)))
+        client = DnsCryptClient(None, SeededRng(1))
+        result = client.query(None, SELF_BUILT_IP, ProviderKey("p", "key"),
+                              make_query(DnsName.from_text("example.com")))
+        assert not result.ok
+        assert result.failure == FailureKind.PROTOCOL
 
     @given(name=provider_names, key=key_texts)
     def test_certificate_txt_round_trip(self, name, key):

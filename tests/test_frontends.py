@@ -3,7 +3,13 @@
 import pytest
 
 from repro.dnswire import DnsName, Message, make_query
-from repro.doe.framing import b64url_encode, frame_tcp_message, unframe_tcp_message
+from repro.doe.framing import (
+    b64url_decode,
+    b64url_encode,
+    frame_tcp_message,
+    unframe_tcp_message,
+)
+from repro.errors import WireFormatError
 from repro.httpsim import HttpRequest
 from repro.netsim.host import ServiceContext, TlsConfig
 from repro.resolvers import (
@@ -112,6 +118,13 @@ class TestDohService:
         response = self.make(backend, tls).handle(
             HttpRequest.get("/dns-query?dns=!!!"), service_ctx())
         assert response.status == 400
+
+    @pytest.mark.parametrize("encoded", ["a", "\u00e9"])
+    def test_undecodable_dns_parameter_400(self, backend, tls, encoded):
+        response = self.make(backend, tls).handle(
+            HttpRequest.get(f"/dns-query?dns={encoded}"), service_ctx())
+        assert response.status == 400
+        assert b"bad dns parameter" in response.body
 
     def test_wrong_content_type_415(self, backend, tls):
         request = HttpRequest.post("/dns-query", b"\x00" * 12,
@@ -232,3 +245,13 @@ class TestInstallFrontends:
         with pytest.raises(WireFormatError):
             install_resolver_frontends(host, backend, None,
                                        protocols=("dot",))
+
+
+class TestBase64Url:
+    @pytest.mark.parametrize("encoded", [
+        "a",        # one character past a multiple of four
+        "\u00e9",   # not ASCII
+    ])
+    def test_undecodable_input_is_a_wire_format_error(self, encoded):
+        with pytest.raises(WireFormatError):
+            b64url_decode(encoded)
